@@ -165,7 +165,6 @@ void Run(const bench::Args& args) {
         .Int("barrier_wait_p50_ns", p50)
         .Int("barrier_wait_p95_ns", p95)
         .Int("barrier_wait_p99_ns", p99)
-        .Int("profiler_dropped", profile.profiler_dropped)
         .Num("queries_per_sec", query.queries_per_second)
         .Num("query_utilization", query.utilization);
 

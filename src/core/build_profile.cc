@@ -58,6 +58,7 @@ uint64_t BuildProfile::RunNs() const {
 uint64_t BuildProfile::BusyNs() const {
   uint64_t total = 0;
   for (const WaveProfile& w : waves) {
+    total += w.overlap_ns;
     for (uint64_t b : w.lane_busy_ns) total += b;
   }
   return total;
@@ -90,7 +91,8 @@ std::vector<uint64_t> BuildProfile::BarrierWaitSamplesNs() const {
   std::vector<uint64_t> samples;
   samples.reserve(waves.size() * threads);
   for (const WaveProfile& w : waves) {
-    for (uint64_t busy : w.lane_busy_ns) {
+    for (size_t l = 0; l < w.lane_busy_ns.size(); ++l) {
+      const uint64_t busy = w.lane_busy_ns[l] + (l == 0 ? w.overlap_ns : 0);
       samples.push_back(w.run_ns > busy ? w.run_ns - busy : 0);
     }
   }
@@ -131,9 +133,7 @@ std::string BuildProfile::ToJson() const {
   AppendU64(&out, PercentileNs(waits, 95.0));
   out.append(", \"p99\": ");
   AppendU64(&out, PercentileNs(waits, 99.0));
-  out.append("}, \"profiler_dropped\": ");
-  AppendU64(&out, profiler_dropped);
-  out.append(", \"waves_detail\": [");
+  out.append("}, \"waves_detail\": [");
   for (size_t i = 0; i < waves.size(); ++i) {
     const WaveProfile& w = waves[i];
     if (i > 0) out.append(", ");
@@ -142,6 +142,8 @@ std::string BuildProfile::ToJson() const {
     AppendU64(&out, w.color_ns);
     out.append(", \"run_ns\": ");
     AppendU64(&out, w.run_ns);
+    out.append(", \"overlap_ns\": ");
+    AppendU64(&out, w.overlap_ns);
     out.append(", \"merge_ns\": ");
     AppendU64(&out, w.merge_ns);
     out.append(", \"lane_busy_ns\": [");
@@ -176,12 +178,15 @@ std::string BuildProfile::ToCollapsedStacks() const {
     color += w.color_ns;
     gather += w.merge_ns;
   }
+  uint64_t overlap = 0;
   std::vector<uint64_t> busy(threads, 0);
   std::vector<uint64_t> wait(threads, 0);
   for (const WaveProfile& w : waves) {
+    overlap += w.overlap_ns;
     for (size_t l = 0; l < w.lane_busy_ns.size() && l < threads; ++l) {
       busy[l] += w.lane_busy_ns[l];
-      wait[l] += w.run_ns > w.lane_busy_ns[l] ? w.run_ns - w.lane_busy_ns[l] : 0;
+      const uint64_t worked = w.lane_busy_ns[l] + (l == 0 ? w.overlap_ns : 0);
+      wait[l] += w.run_ns > worked ? w.run_ns - worked : 0;
     }
   }
   std::string out;
@@ -198,6 +203,7 @@ std::string BuildProfile::ToCollapsedStacks() const {
   for (size_t l = 0; l < threads; ++l) {
     const std::string lane = "lane" + std::to_string(l);
     line("build;wave_run;" + lane + ";busy", busy[l]);
+    if (l == 0) line("build;wave_run;lane0;overlap_color", overlap);
     line("build;wave_run;" + lane + ";barrier_wait", wait[l]);
   }
   return out;

@@ -16,8 +16,10 @@
 // Amdahl bookkeeping:
 //   serial_ns    = schedule_ns + merge_ns + sum(color_ns) + sum(wave merge_ns)
 //   run_ns       = sum over waves of the ParallelFor wall time
-//   busy_ns      = sum over waves and lanes of exchange execution time
+//   busy_ns      = sum over waves and lanes of exchange execution time, plus the
+//                  calling lane's overlapped gather/coloring (overlap_ns)
 //   barrier wait = run_ns(wave) - lane_busy_ns(wave, lane), per lane per wave
+//                  (lane 0 also subtracts overlap_ns)
 //
 // ToJson() is the full report (schema in docs/observability.md);
 // ToCollapsedStacks() renders the same accounting as flamegraph input.
@@ -38,9 +40,15 @@ struct WaveProfile {
   uint64_t scheduled = 0;  ///< work items pending when the round was colored
   uint64_t width = 0;      ///< items that ran in this wave
   uint64_t conflicts = 0;  ///< claim retries; 0 under the edge-colored schedule
-  uint64_t color_ns = 0;   ///< serial: edge coloring (first wave of each round)
+  uint64_t color_ns = 0;   ///< serial: coloring of a batch's meetings (its first wave)
   uint64_t run_ns = 0;     ///< wall time of the wave's ParallelFor
-  uint64_t merge_ns = 0;   ///< serial: slot-order deferred gather at the barrier
+  /// Calling lane, inside run_ns: gathering the previous wave's recursion and
+  /// coloring it into the next round, overlapped with this wave's exchanges.
+  uint64_t overlap_ns = 0;
+  /// Serial, after the wave: gathering recursion no side step got to, and on
+  /// a round's last wave the round barrier -- gathering that wave's recursion
+  /// and coloring whatever the overlapped steps left uncolored.
+  uint64_t merge_ns = 0;
   /// Exchange execution time per lane inside run_ns (size = thread count).
   std::vector<uint64_t> lane_busy_ns;
 };
@@ -48,15 +56,14 @@ struct WaveProfile {
 /// Whole-build profile: per-wave records plus the serial phases around them.
 struct BuildProfile {
   size_t threads = 1;
-  uint64_t schedule_ns = 0;       ///< serial NextBatch time, all batches
-  uint64_t merge_ns = 0;          ///< serial: per-batch lane-shard ledger folds
-  uint64_t total_ns = 0;          ///< wall time of the whole build call
-  uint64_t profiler_dropped = 0;  ///< lane-buffer overflow events (0 = exact)
+  uint64_t schedule_ns = 0;  ///< serial NextBatch time, all batches
+  uint64_t merge_ns = 0;     ///< serial: per-batch lane-shard ledger folds
+  uint64_t total_ns = 0;     ///< wall time of the whole build call
   std::vector<WaveProfile> waves;
 
   uint64_t SerialNs() const;  ///< schedule + color + wave/batch merges
   uint64_t RunNs() const;     ///< sum of wave ParallelFor wall times
-  uint64_t BusyNs() const;    ///< sum of per-lane exchange time
+  uint64_t BusyNs() const;    ///< per-lane exchange time + overlapped coloring
 
   /// Fraction of total_ns spent in serial phases (0 when total_ns == 0).
   double SerialFraction() const;

@@ -64,22 +64,37 @@ void ExchangeEngine::Exchange(PeerId a1, PeerId a2) {
   ExchangeShard shard;
   shard.rng = rng_;
   shard.stats = &grid_->stats();
+  shard.metrics = &serial_metrics_;
   ExchangeImpl(a1, a2, 0, &shard);
+  FoldMetrics(&serial_metrics_);
   if (shard.path_bits > 0) grid_->NotePathGrowth(shard.path_bits);
 }
 
 void ExchangeEngine::ExchangeSharded(PeerId a1, PeerId a2, uint32_t depth,
                                      ExchangeShard* shard) {
-  PGRID_CHECK(shard != nullptr && shard->rng != nullptr && shard->stats != nullptr);
+  PGRID_CHECK(shard != nullptr && shard->rng != nullptr && shard->stats != nullptr &&
+              shard->metrics != nullptr);
   ExchangeImpl(a1, a2, depth, shard);
+}
+
+void ExchangeEngine::FoldMetrics(ExchangeMetrics* metrics) {
+  if (metrics->exchanges > 0) exchanges_->Increment(metrics->exchanges);
+  if (metrics->splits > 0) splits_->Increment(metrics->splits);
+  if (metrics->entries_moved > 0) entries_moved_->Increment(metrics->entries_moved);
+  for (size_t depth = 0; depth < metrics->depth_counts.size(); ++depth) {
+    uint64_t& n = metrics->depth_counts[depth];
+    if (n > 0) recursion_depth_->Record(depth, n);
+    n = 0;
+  }
+  metrics->exchanges = metrics->splits = metrics->entries_moved = 0;
 }
 
 void ExchangeEngine::ExchangeImpl(PeerId id1, PeerId id2, size_t depth,
                                   ExchangeShard* shard) {
   if (id1 == id2) return;
   shard->stats->Record(MessageType::kExchange);
-  exchanges_->Increment();
-  recursion_depth_->Record(depth);
+  ++shard->metrics->exchanges;
+  shard->metrics->RecordDepth(depth);
   obs::TraceRecorder* trace = grid_->trace();
   obs::TraceSpan span(depth == 0 ? trace : nullptr, "exchange");
   if (trace != nullptr && depth > 0) {
@@ -104,7 +119,7 @@ void ExchangeEngine::ExchangeImpl(PeerId id1, PeerId id2, size_t depth,
     a1.AppendPathBit(0);
     a2.AppendPathBit(1);
     shard->path_bits += 2;
-    splits_->Increment(2);
+    shard->metrics->splits += 2;
     a1.SetRefsAt(lc + 1, {id2});
     a2.SetRefsAt(lc + 1, {id1});
     if (config_.manage_data) ReconcileData(&a1, &a2, shard);
@@ -190,7 +205,7 @@ void ExchangeEngine::SplitShorter(PeerState* shorter, PeerState* longer, size_t 
   const int bit = ComplementBit(longer->PathBit(lc + 1));
   shorter->AppendPathBit(bit);
   shard->path_bits += 1;
-  splits_->Increment();
+  ++shard->metrics->splits;
   shorter->SetRefsAt(lc + 1, {longer->id()});
   const PeerId self = shorter->id();
   std::vector<PeerId> refs = Union(Span<PeerId>(&self, 1), longer->RefsAt(lc + 1));
@@ -208,7 +223,7 @@ void ExchangeEngine::CloneShorter(PeerState* shorter, PeerState* longer, size_t 
   const int bit = longer->PathBit(lc + 1);
   shorter->AppendPathBit(bit);
   shard->path_bits += 1;
-  splits_->Increment();
+  ++shard->metrics->splits;
   shorter->SetRefsAt(lc + 1, shard->rng->SampleWithoutReplacement(
                                  longer->RefsAt(lc + 1).ToVector(), config_.refmax));
 }
@@ -229,7 +244,7 @@ void ExchangeEngine::MergeReplicas(PeerState* a1, PeerState* a2, bool record_bud
   moved += a2->index().MergeFrom(a1->index());
   if (moved > 0) {
     shard->stats->Record(MessageType::kDataTransfer, moved);
-    entries_moved_->Increment(moved);
+    shard->metrics->entries_moved += moved;
   }
 }
 
@@ -254,7 +269,7 @@ void ExchangeEngine::ReconcileData(PeerState* x, PeerState* y, ExchangeShard* sh
     }
     if (moved > 0) {
       shard->stats->Record(MessageType::kDataTransfer, moved);
-      entries_moved_->Increment(moved);
+      shard->metrics->entries_moved += moved;
     }
   }
 }

@@ -47,11 +47,30 @@ struct PendingExchange {
   uint32_t depth = 0;
 };
 
+/// Exchange-engine registry instruments (exchange.count, exchange.splits,
+/// exchange.entries_moved, exchange.recursion_depth) accumulated as plain
+/// counters. Owned by one lane at a time, so recording costs no atomic traffic;
+/// ExchangeEngine::FoldMetrics adds a shard into the registry at the same
+/// barrier that folds the MessageStats shard, which keeps the ledger
+/// equalities of docs/observability.md exact at every barrier.
+struct ExchangeMetrics {
+  uint64_t exchanges = 0;
+  uint64_t splits = 0;
+  uint64_t entries_moved = 0;
+  std::vector<uint64_t> depth_counts;  ///< exchanges per recursion depth
+
+  void RecordDepth(size_t depth) {
+    if (depth >= depth_counts.size()) depth_counts.resize(depth + 1, 0);
+    ++depth_counts[depth];
+  }
+};
+
 /// Sinks for one sharded exchange execution (see ParallelGridBuilder). A shard
 /// isolates everything an exchange touches besides the two peers' own state, so
 /// conflict-free meetings can run concurrently:
 ///  - all random draws come from `rng` (a per-meeting counter-derived stream),
 ///  - message accounting goes to the `stats` shard, merged at the batch barrier,
+///  - registry instruments go to the `metrics` shard, folded at the same barrier,
 ///  - path growth accumulates in `path_bits`, applied at the barrier,
 ///  - case-4 recursion is captured into `deferred` (when set) instead of executed
 ///    inline, because recursion targets are third peers another concurrent meeting
@@ -59,6 +78,7 @@ struct PendingExchange {
 struct ExchangeShard {
   Rng* rng = nullptr;
   MessageStats* stats = nullptr;
+  ExchangeMetrics* metrics = nullptr;
   uint64_t path_bits = 0;
   std::vector<PendingExchange>* deferred = nullptr;
 };
@@ -80,10 +100,14 @@ class ExchangeEngine {
   /// Runs one (possibly recursive, depth > 0) exchange recording into `shard`
   /// instead of the engine's Rng and the grid's ledger. Mutates only the states of
   /// `a1`, `a2` (and, with a null `shard->deferred`, of inline recursion targets);
-  /// grid-level accounting lands in the shard for a deterministic barrier merge.
-  /// Metrics-registry instruments are atomic and recorded directly. Thread-safe
-  /// for concurrent calls whose peer pairs are disjoint.
+  /// grid-level accounting -- ledger and registry instruments alike -- lands in
+  /// the shard for a deterministic barrier merge. Thread-safe for concurrent
+  /// calls whose peer pairs and shard sinks are disjoint.
   void ExchangeSharded(PeerId a1, PeerId a2, uint32_t depth, ExchangeShard* shard);
+
+  /// Adds `metrics` into the grid's registry instruments and zeroes it. Call at
+  /// a barrier, together with the MessageStats fold of the same shard.
+  void FoldMetrics(ExchangeMetrics* metrics);
 
   /// Total exchange executions recorded so far (the paper's `e`).
   uint64_t num_exchanges() const {
@@ -133,11 +157,15 @@ class ExchangeEngine {
   const OnlineModel* online_;
   const SplitPolicy* split_policy_;
 
-  // Cached registry instruments (owned by the grid; see docs/observability.md).
+  // Cached registry instruments (owned by the grid; see docs/observability.md),
+  // written only by FoldMetrics.
   obs::Counter* exchanges_;  // mirrors MessageStats kExchange exactly
   obs::Counter* splits_;
   obs::Counter* entries_moved_;  // mirrors MessageStats kDataTransfer (this engine)
   obs::Histogram* recursion_depth_;
+
+  /// Metrics shard of the sequential entry point, folded after every meeting.
+  ExchangeMetrics serial_metrics_;
 };
 
 }  // namespace pgrid

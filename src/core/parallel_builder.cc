@@ -1,12 +1,37 @@
 #include "core/parallel_builder.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <utility>
 
 #include "util/macros.h"
 #include "util/stopwatch.h"
 
 namespace pgrid {
+
+namespace {
+
+/// Items the calling lane colors per side step before it re-checks whether
+/// the running wave is still unfinished.
+constexpr size_t kColorStep = 8;
+
+/// Prefetches the leading cache lines of `peer` -- id, path, and reference
+/// table header, wherever the object straddles a line boundary -- for writing.
+void PrefetchForWrite(const PeerState& peer) {
+  const char* base = reinterpret_cast<const char*>(&peer);
+  __builtin_prefetch(base, 1);
+  __builtin_prefetch(base + 63, 1);
+}
+
+/// Profiling clock: steady nanoseconds.
+uint64_t NowNs() {
+  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                   std::chrono::steady_clock::now().time_since_epoch())
+                                   .count());
+}
+
+}  // namespace
 
 ParallelGridBuilder::ParallelGridBuilder(Grid* grid, ExchangeEngine* exchange,
                                          MeetingScheduler* scheduler, Rng* master,
@@ -27,8 +52,6 @@ ParallelGridBuilder::ParallelGridBuilder(Grid* grid, ExchangeEngine* exchange,
   if (options_.profile) {
     profile_ = std::make_unique<BuildProfile>();
     profile_->threads = pool_.threads();
-    profiler_ = std::make_unique<obs::PhaseProfiler>(pool_.threads());
-    phase_exchange_ = profiler_->RegisterPhase("exchange");
   }
 }
 
@@ -46,10 +69,10 @@ BuildReport ParallelGridBuilder::BuildToAverageDepth(double target_avg_depth,
     // batches were executed.
     std::vector<Meeting> meetings;
     meetings.reserve(batch);
-    const uint64_t t_schedule = profile_ != nullptr ? profiler_->NowNs() : 0;
+    const uint64_t t_schedule = profile_ != nullptr ? NowNs() : 0;
     scheduler_->NextBatch(master_, batch, &meetings);
     if (profile_ != nullptr) {
-      profile_->schedule_ns += profiler_->NowNs() - t_schedule;
+      profile_->schedule_ns += NowNs() - t_schedule;
     }
     std::vector<WorkItem> items;
     items.reserve(batch);
@@ -64,7 +87,6 @@ BuildReport ParallelGridBuilder::BuildToAverageDepth(double target_avg_depth,
   report.seconds = watch.ElapsedSeconds();
   if (profile_ != nullptr) {
     profile_->total_ns += static_cast<uint64_t>(report.seconds * 1e9);
-    profile_->profiler_dropped = profiler_->dropped();
   }
   return report;
 }
@@ -93,26 +115,67 @@ void ParallelGridBuilder::EnsureSlots(size_t n) {
     slots_.push_back(
         std::make_unique<Slot>(DeriveStreamSeed(stream_base_, slots_.size())));
   }
+  for (int parity = 0; parity < 2; ++parity) {
+    if (captures_[parity].size() < n) captures_[parity].resize(n);
+    if (spills_[parity].size() < n) spills_[parity].resize(n);
+  }
 }
 
 void ParallelGridBuilder::RunBatch(std::vector<WorkItem> items) {
   const bool prof = profile_ != nullptr;
   std::vector<WorkItem> next;
-  std::vector<WaveEdge> edges;
-  while (!items.empty()) {
-    // Color the round: every item lands in exactly one conflict-free wave, as a
-    // pure function of the item list (core/wave_schedule.h).
-    const uint64_t t_color = prof ? profiler_->NowNs() : 0;
-    edges.clear();
-    edges.reserve(items.size());
-    for (const WorkItem& it : items) edges.push_back({it.a, it.b});
-    schedule_.Color(edges);
-    const uint64_t color_ns = prof ? profiler_->NowNs() - t_color : 0;
+  WaveSchedule* schedule = &schedules_[0];
+  WaveSchedule* next_schedule = &schedules_[1];
 
+  // Color the batch's top-level meetings: every item lands in exactly one
+  // conflict-free wave, as a pure function of the item list
+  // (core/wave_schedule.h). Later rounds are colored while the previous round
+  // runs (below).
+  uint64_t color_ns = prof ? NowNs() : 0;
+  schedule->Begin();
+  for (const WorkItem& it : items) schedule->Add({it.a, it.b});
+  schedule->Finish();
+  if (prof) color_ns = NowNs() - color_ns;
+
+  while (!items.empty()) {
+    // The next round is built while this one runs: the recursion each slot
+    // captures is gathered in (wave, slot) order -- the order feeds the next
+    // round's coloring, so it must be schedule-determined -- and colored item
+    // by item, on the calling lane, in whatever time the waves leave it.
     next.clear();
-    for (size_t w = 0; w < schedule_.num_waves(); ++w) {
-      const std::vector<uint32_t>& wave = schedule_.wave(w);
+    next_schedule->Begin();
+    size_t colored = 0;  // prefix of `next` already added to next_schedule
+    size_t gather_wave = 0;  // gather cursor: next (wave, slot) to move
+    size_t gather_slot = 0;
+    const auto gather_one = [&] {
+      const int parity = gather_wave % 2;
+      const Capture& cap = captures_[parity][gather_slot];
+      for (size_t k = 0; k < std::min<size_t>(cap.count, Capture::kInline); ++k) {
+        next.push_back({cap.items[k].initiator, cap.items[k].target, cap.items[k].depth});
+      }
+      if (cap.count > Capture::kInline) {
+        for (const PendingExchange& p : spills_[parity][gather_slot]) {
+          next.push_back({p.initiator, p.target, p.depth});
+        }
+      }
+      if (++gather_slot == schedule->wave(gather_wave).size()) {
+        ++gather_wave;
+        gather_slot = 0;
+      }
+    };
+    const auto gather_before = [&](size_t w) {  // waves < w are complete
+      while (gather_wave < w) gather_one();
+    };
+    const auto color_upto = [&](size_t end) {
+      for (; colored < end; ++colored) {
+        next_schedule->Add({next[colored].a, next[colored].b});
+      }
+    };
+
+    for (size_t w = 0; w < schedule->num_waves(); ++w) {
+      const std::vector<uint32_t>& wave = schedule->wave(w);
       EnsureSlots(wave.size());
+      const uint64_t stamp = ++wave_stamp_;
 
       WaveProfile* wp = nullptr;
       if (prof) {
@@ -123,53 +186,98 @@ void ParallelGridBuilder::RunBatch(std::vector<WorkItem> items) {
         wp->scheduled = items.size();
         wp->width = wave.size();
         wp->conflicts = 0;  // by construction of the coloring
-        if (w == 0) wp->color_ns = color_ns;
+        if (w == 0) wp->color_ns = std::exchange(color_ns, 0);
       }
 
-      const uint64_t t_run = prof ? profiler_->NowNs() : 0;
-      pool_.ParallelFor(wave.size(), [&](size_t i, size_t lane) {
-        const uint64_t t_item = prof ? profiler_->NowNs() : 0;
-        Slot& slot = *slots_[i];
-        Lane& sink = lanes_[lane];
-        ExchangeShard shard;
-        shard.rng = &slot.rng;
-        shard.stats = &sink.stats;
-        shard.deferred = &slot.deferred;
-        const WorkItem& it = items[wave[i]];
-        exchange_->ExchangeSharded(it.a, it.b, it.depth, &shard);
-        sink.path_bits += shard.path_bits;
-        if (prof) {
-          profiler_->Record(lane, phase_exchange_, t_item,
-                            profiler_->NowNs() - t_item, wp->wave);
+      // Side step of the calling lane: gather what is complete -- earlier
+      // waves, then the finished prefix of this one -- and color a few items.
+      // Reports whether it made progress; when it made none, the pool has the
+      // caller run a chunk of the wave instead. Only the calling lane touches
+      // the next round's state.
+      const auto side_step = [&]() -> bool {
+        const uint64_t t_step = prof ? NowNs() : 0;
+        const size_t wave_before = gather_wave;
+        const size_t slot_before = gather_slot;
+        const size_t colored_before = colored;
+        gather_before(w);
+        while (gather_wave == w &&
+               std::atomic_ref<uint64_t>(captures_[w % 2][gather_slot].done)
+                       .load(std::memory_order_acquire) == stamp) {
+          gather_one();
         }
-      });
+        color_upto(std::min(next.size(), colored + kColorStep));
+        const bool progress = colored != colored_before ||
+                              gather_wave != wave_before || gather_slot != slot_before;
+        if (prof && progress) wp->overlap_ns += NowNs() - t_step;
+        return progress;
+      };
 
-      uint64_t t_gather = 0;
+      const size_t chunk = ThreadPool::ChunkSize(wave.size(), pool_.threads());
+      const uint64_t t_run = prof ? NowNs() : 0;
+      pool_.ParallelFor(
+          wave.size(),
+          [&](size_t i, size_t lane) {
+            if (i % chunk == 0) {
+              // First item of a claimed chunk: request the chunk's peer states
+              // -- usually last written on another core -- all at once, so
+              // their cache lines arrive in parallel instead of one miss at a
+              // time. The chunk's items run on this lane, and no other item of
+              // the wave touches these peers.
+              const size_t end = std::min(wave.size(), i + chunk);
+              for (size_t j = i; j < end; ++j) {
+                PrefetchForWrite(grid_->peer(items[wave[j]].a));
+                PrefetchForWrite(grid_->peer(items[wave[j]].b));
+              }
+            }
+            const uint64_t t_item = prof ? NowNs() : 0;
+            Lane& sink = lanes_[lane];
+            sink.deferred.clear();
+            ExchangeShard shard;
+            shard.rng = &slots_[i]->rng;
+            shard.stats = &sink.stats;
+            shard.metrics = &sink.metrics;
+            shard.deferred = &sink.deferred;
+            const WorkItem& it = items[wave[i]];
+            exchange_->ExchangeSharded(it.a, it.b, it.depth, &shard);
+            sink.path_bits += shard.path_bits;
+            // Publish the capture: inline part, spill, then the stamp.
+            Capture& cap = captures_[w % 2][i];
+            const size_t count = sink.deferred.size();
+            cap.count = static_cast<uint32_t>(count);
+            std::copy_n(sink.deferred.begin(), std::min(count, Capture::kInline),
+                        cap.items);
+            if (count > Capture::kInline) {
+              spills_[w % 2][i].assign(sink.deferred.begin() + Capture::kInline,
+                                       sink.deferred.end());
+            }
+            std::atomic_ref<uint64_t>(cap.done).store(stamp, std::memory_order_release);
+            if (prof) sink.busy_ns += NowNs() - t_item;
+          },
+          side_step);
+
       if (prof) {
-        const uint64_t now = profiler_->NowNs();
-        wp->run_ns = now - t_run;
+        wp->run_ns = NowNs() - t_run;
         // The pool join above is the happens-before edge; lanes are quiescent.
-        wp->lane_busy_ns.assign(pool_.threads(), 0);
-        for (size_t lane = 0; lane < pool_.threads(); ++lane) {
-          for (const obs::PhaseProfiler::Event& e : profiler_->DrainLane(lane)) {
-            wp->lane_busy_ns[lane] += e.dur_ns;
-          }
+        wp->lane_busy_ns.resize(lanes_.size());
+        for (size_t lane = 0; lane < lanes_.size(); ++lane) {
+          wp->lane_busy_ns[lane] = std::exchange(lanes_[lane].busy_ns, 0);
         }
-        t_gather = profiler_->NowNs();
       }
-
-      // Wave barrier: only the recursion captures need ordering here. The
-      // gather runs in slot order because it feeds the next round's item list
-      // and therefore the next coloring -- it must be schedule-determined.
-      for (size_t i = 0; i < wave.size(); ++i) {
-        Slot& slot = *slots_[i];
-        for (const PendingExchange& p : slot.deferred) {
-          next.push_back({p.initiator, p.target, p.depth});
-        }
-        slot.deferred.clear();
-      }
-      if (prof) wp->merge_ns = profiler_->NowNs() - t_gather;
+      // Wave w+1 reuses wave w-1's capture buffers: finish gathering those
+      // now if the side steps did not get to them.
+      const uint64_t t_gather = prof ? NowNs() : 0;
+      gather_before(w);
+      if (prof) wp->merge_ns += NowNs() - t_gather;
     }
+
+    // Round barrier: gather the rest and color whatever the waves left
+    // uncolored; then the next round's schedule is complete.
+    const uint64_t t_gather = prof ? NowNs() : 0;
+    gather_before(schedule->num_waves());
+    color_upto(next.size());
+    next_schedule->Finish();
+    if (prof) profile_->waves.back().merge_ns += NowNs() - t_gather;
+    std::swap(schedule, next_schedule);
     std::swap(items, next);
   }
 
@@ -177,16 +285,17 @@ void ParallelGridBuilder::RunBatch(std::vector<WorkItem> items) {
   // order. The sums are commutative, so which lane ran which item (the only
   // timing-dependent quantity left) cannot affect the result. O(threads) serial
   // work per batch, where the old slot-order fold was O(slots) per wave.
-  const uint64_t t_merge = prof ? profiler_->NowNs() : 0;
+  const uint64_t t_merge = prof ? NowNs() : 0;
   uint64_t path_bits = 0;
   for (Lane& lane : lanes_) {
     grid_->stats().MergeFrom(lane.stats);
     lane.stats.Reset();
+    exchange_->FoldMetrics(&lane.metrics);
     path_bits += lane.path_bits;
     lane.path_bits = 0;
   }
   if (path_bits > 0) grid_->NotePathGrowth(path_bits);
-  if (prof) profile_->merge_ns += profiler_->NowNs() - t_merge;
+  if (prof) profile_->merge_ns += NowNs() - t_merge;
 }
 
 }  // namespace pgrid

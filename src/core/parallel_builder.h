@@ -23,15 +23,20 @@
 //      Persistent streams also keep the hot path free of std::mt19937_64
 //      re-seeding (~2us per fresh engine, comparable to a whole exchange).
 //   4. Sharded execution. Slot i runs ExchangeEngine::ExchangeSharded against its
-//      own stream and a private deferred-recursion list (case-4 recursion
-//      targets third peers, so it is captured, not executed inline), while
-//      ledger accounting (message counts, path growth) lands in per-*lane*
-//      shards -- purely additive, so lane assignment cannot affect the sums.
-//   5. Deterministic merges. The wave barrier only gathers deferred children, in
-//      slot order (their order feeds the next round's coloring, so it must be
-//      schedule-determined). The commutative lane shards fold into the grid
-//      ledger once per batch, in lane order -- O(threads) barrier work per
-//      batch instead of O(slots) per wave.
+//      own stream, and its case-4 recursion (which targets third peers, so it
+//      is captured, not executed inline) lands in the slot's capture line,
+//      while ledger accounting (message counts, exchange metrics, path growth)
+//      lands in per-*lane* shards -- purely additive, so lane assignment cannot
+//      affect the sums.
+//   5. Deterministic merges, off the critical path. The recursion captured by
+//      a round forms the next round's item list in (wave, slot) order -- the
+//      order feeds the next round's coloring, so it must be
+//      schedule-determined. The calling lane gathers and colors it item by
+//      item while the round's waves still run (ThreadPool's caller steps; the
+//      coloring of edge k depends only on edges 0..k, see wave_schedule.h), so
+//      only the tail of it is serial. The commutative lane shards fold into
+//      the grid ledger once per batch, in lane order -- O(threads) barrier work
+//      per batch instead of O(slots) per wave.
 //
 // Convergence (average path length vs threshold) is checked at batch boundaries,
 // after each batch has fully drained.
@@ -52,7 +57,6 @@
 #include "core/grid.h"
 #include "core/grid_builder.h"
 #include "core/wave_schedule.h"
-#include "obs/profiler.h"
 #include "sim/meeting_scheduler.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -114,25 +118,41 @@ class ParallelGridBuilder {
     uint32_t depth = 0;
   };
 
-  /// Deterministic state of one wave slot: a persistent stream plus the slot's
-  /// recursion capture (gathered in slot order at the wave barrier, because the
-  /// gather order feeds the next round's schedule). Heap-allocated so the slot
-  /// vector can grow without moving live Rng state.
+  /// Deterministic state of one wave slot: a persistent stream. Heap-allocated
+  /// so the slot vector can grow without moving live Rng state.
   struct Slot {
     explicit Slot(uint64_t seed) : rng(seed) {}
     Rng rng;
-    std::vector<PendingExchange> deferred;
+  };
+
+  /// The recursion that one slot's item captured in one wave, on one cache
+  /// line, so gathering a wave -- in slot order, because the gather order
+  /// feeds the next round's coloring -- is a sequential sweep. Captures are
+  /// double-buffered by wave parity: wave w fills captures_[w % 2] while the
+  /// calling lane may still be gathering wave w-1's from the other buffer.
+  /// Children past kInline go to the slot's spill vector.
+  struct alignas(64) Capture {
+    static constexpr size_t kInline = 4;
+    /// Stamp of the wave that filled it, published with release order (via
+    /// std::atomic_ref) so a gather can take it while the wave still runs.
+    uint64_t done = 0;
+    uint32_t count = 0;
+    PendingExchange items[kInline];
   };
 
   /// Additive ledger shard of one execution lane. Which lane runs which item is
   /// timing-dependent, but these sums are commutative, so the once-per-batch
-  /// lane-order fold into the grid is deterministic regardless.
-  struct Lane {
+  /// lane-order fold into the grid is deterministic regardless. Cache-line
+  /// aligned: lanes write their shards on every item.
+  struct alignas(64) Lane {
     MessageStats stats;
+    ExchangeMetrics metrics;
     uint64_t path_bits = 0;
+    uint64_t busy_ns = 0;  // profiling: exchange time in the current wave
+    std::vector<PendingExchange> deferred;  // the running item's recursion
   };
 
-  /// Ensures slots_ covers indices [0, n).
+  /// Ensures slots_ and the capture buffers cover indices [0, n).
   void EnsureSlots(size_t n);
 
   /// Executes `items` (one batch of top-level meetings) to completion, including
@@ -149,17 +169,19 @@ class ParallelGridBuilder {
   /// Base for slot-stream derivation, drawn from the master at construction.
   uint64_t stream_base_;
   std::vector<std::unique_ptr<Slot>> slots_;
+  std::vector<Capture> captures_[2];
+  std::vector<std::vector<PendingExchange>> spills_[2];
+  uint64_t wave_stamp_ = 0;  // waves run so far (Capture::done stamps)
   std::vector<Lane> lanes_;
 
-  /// The per-round conflict-free partition (scratch reused across rounds).
-  WaveSchedule schedule_;
+  /// Conflict-free partitions of the running round and of the next one, which
+  /// is colored while the running round executes (scratch reused across rounds).
+  WaveSchedule schedules_[2];
 
-  // Profiling state; all null / unused when options.profile is false. The
-  // profiler's lane buffers collect per-exchange timings inside a wave and are
-  // drained at the wave barrier into the current WaveProfile.
+  // Profiling state; null / unused when options.profile is false. Lanes add
+  // their exchange time to Lane::busy_ns, which the wave barrier moves into
+  // the current WaveProfile.
   std::unique_ptr<BuildProfile> profile_;
-  std::unique_ptr<obs::PhaseProfiler> profiler_;
-  int phase_exchange_ = 0;
   uint64_t batch_ordinal_ = 0;
   uint64_t wave_ordinal_ = 0;
 };

@@ -1,26 +1,44 @@
 #include "core/wave_schedule.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/macros.h"
 
 namespace pgrid {
 
+namespace {
+
+/// Palette capacity granted on the first growth, so small rounds never re-stride.
+constexpr uint32_t kMinPaletteCap = 32;
+
+}  // namespace
+
 uint32_t WaveSchedule::DenseId(PeerId peer) {
-  if (peer >= dense_.size()) {
-    dense_.resize(peer + 1, 0);
-    stamp_.resize(peer + 1, 0);
-  }
-  if (stamp_[peer] != round_) {
-    stamp_[peer] = round_;
-    dense_[peer] = num_vertices_++;
-  }
-  return dense_[peer];
+  if (peer >= dense_.size()) dense_.resize(peer + 1);
+  DenseSlot& slot = dense_[peer];
+  if (slot.stamp == round_) return slot.id;
+  slot.stamp = round_;
+  const uint32_t v = num_vertices_++;
+  slot.id = v;
+  // Fresh row: no colors present. Rows past num_vertices_ hold stale data
+  // from earlier rounds; clearing the mask words is enough (see EdgeAt).
+  const size_t at_end = static_cast<size_t>(num_vertices_) * palette_cap_;
+  if (at_.size() < at_end) at_.resize(at_end);
+  const size_t used_end = static_cast<size_t>(num_vertices_) * words_;
+  if (used_.size() < used_end) used_.resize(used_end);
+  std::fill(used_.begin() + (used_end - words_), used_.begin() + used_end, 0);
+  if (degree_.size() < num_vertices_) degree_.resize(num_vertices_);
+  degree_[v] = 0;
+  return v;
 }
 
 uint32_t WaveSchedule::FreeColor(uint32_t v) const {
-  for (uint32_t c = 0; c < palette_; ++c) {
-    if (EdgeAt(v, c) == kNone) return c;
+  for (uint32_t w = 0; w < words_; ++w) {
+    const uint64_t free = ~UsedWord(v, w);
+    if (free == 0) continue;
+    const uint32_t c = w * 64 + static_cast<uint32_t>(std::countr_zero(free));
+    return c < palette_ ? c : kNone;
   }
   return kNone;
 }
@@ -42,18 +60,21 @@ void WaveSchedule::Assign(uint32_t e, uint32_t to) {
 
 void WaveSchedule::GrowPalette(uint32_t colors) {
   if (colors <= palette_cap_) {
-    palette_ = colors;
+    palette_ = std::max(palette_, colors);
     return;
   }
-  const uint32_t cap = std::max(colors, palette_cap_ * 2);
-  std::vector<uint32_t> grown(static_cast<size_t>(num_vertices_) * cap, kNone);
-  for (uint32_t v = 0; v < num_vertices_; ++v) {
-    std::copy(at_.begin() + static_cast<size_t>(v) * palette_cap_,
-              at_.begin() + static_cast<size_t>(v) * palette_cap_ + palette_,
-              grown.begin() + static_cast<size_t>(v) * cap);
+  const uint32_t cap = std::max({colors, palette_cap_ * 2, kMinPaletteCap});
+  const uint32_t words = (cap + 63) / 64;
+  std::vector<uint32_t> at(static_cast<size_t>(num_vertices_) * cap);
+  std::vector<uint64_t> used(static_cast<size_t>(num_vertices_) * words, 0);
+  for (size_t v = 0; v < num_vertices_; ++v) {
+    std::copy_n(at_.begin() + v * palette_cap_, palette_cap_, at.begin() + v * cap);
+    std::copy_n(used_.begin() + v * words_, words_, used.begin() + v * words);
   }
-  at_ = std::move(grown);
+  at_ = std::move(at);
+  used_ = std::move(used);
   palette_cap_ = cap;
+  words_ = words;
   palette_ = colors;
 }
 
@@ -94,8 +115,9 @@ bool WaveSchedule::TryMisraGries(uint32_t e) {
 
   // Maximal fan of u: fan_[0] = v; fan_[i] (i >= 1) joins through a colored
   // edge (u, fan_[i]) whose color is free at fan_[i-1]; vertices are distinct.
-  // Candidate colors are scanned ascending, so the fan -- like everything else
-  // here -- is a deterministic function of the current coloring.
+  // Candidate colors -- free at the fan tail and present at u -- are visited
+  // ascending, so the fan, like everything else here, is a deterministic
+  // function of the current coloring.
   ++fan_round_;
   if (fan_round_ == 0) {
     std::fill(in_fan_stamp_.begin(), in_fan_stamp_.end(), 0);
@@ -110,22 +132,23 @@ bool WaveSchedule::TryMisraGries(uint32_t e) {
   fan_edge_.push_back(e);
   in_fan_stamp_[v] = fan_round_;
   in_fan_stamp_[u] = fan_round_;
-  for (;;) {
+  for (bool extended = true; extended;) {
+    extended = false;
     const uint32_t tail = fan_.back();
-    bool extended = false;
-    for (uint32_t c = 0; c < palette_; ++c) {
-      if (EdgeAt(tail, c) != kNone) continue;  // c not free at the fan tail
-      const uint32_t cand = EdgeAt(u, c);
-      if (cand == kNone) continue;  // no colored edge at u to shift down
-      const uint32_t w = edge_u_[cand] == u ? edge_v_[cand] : edge_u_[cand];
-      if (in_fan_stamp_[w] == fan_round_) continue;
-      fan_.push_back(w);
-      fan_edge_.push_back(cand);
-      in_fan_stamp_[w] = fan_round_;
-      extended = true;
-      break;
+    for (uint32_t w = 0; w < words_ && !extended; ++w) {
+      for (uint64_t cands = ~UsedWord(tail, w) & UsedWord(u, w); cands != 0;
+           cands &= cands - 1) {
+        const uint32_t c = w * 64 + static_cast<uint32_t>(std::countr_zero(cands));
+        const uint32_t cand = EdgeAt(u, c);
+        const uint32_t x = edge_u_[cand] == u ? edge_v_[cand] : edge_u_[cand];
+        if (in_fan_stamp_[x] == fan_round_) continue;
+        fan_.push_back(x);
+        fan_edge_.push_back(cand);
+        in_fan_stamp_[x] = fan_round_;
+        extended = true;
+        break;
+      }
     }
-    if (!extended) break;
   }
 
   const uint32_t c = FreeColor(u);
@@ -164,67 +187,76 @@ void WaveSchedule::ColorEdge(uint32_t e) {
   // multigraph bound is max_degree + max_multiplicity).
   const uint32_t u = edge_u_[e];
   const uint32_t v = edge_v_[e];
-  for (uint32_t c = 0;; ++c) {
-    if (c >= palette_) {
-      GrowPalette(c + 1);
-      ++fallback_colors_;
+  uint32_t c = words_ * 64;
+  for (uint32_t w = 0; w < words_; ++w) {
+    const uint64_t free = ~(UsedWord(u, w) | UsedWord(v, w));
+    if (free != 0) {
+      c = w * 64 + static_cast<uint32_t>(std::countr_zero(free));
+      break;
     }
-    if (EdgeAt(u, c) == kNone && EdgeAt(v, c) == kNone) {
-      Assign(e, c);
-      return;
-    }
+  }
+  if (c >= palette_) GrowPalette(c + 1);
+  Assign(e, c);
+}
+
+void WaveSchedule::Begin() {
+  num_waves_ = 0;
+  num_edges_ = 0;
+  max_degree_ = 0;
+  fallback_colors_ = 0;
+  palette_ = 0;
+  num_vertices_ = 0;
+  edge_u_.clear();
+  edge_v_.clear();
+  color_.clear();
+  ++round_;
+  if (round_ == 0) {  // stamp wraparound: invalidate every cached dense id
+    std::fill(dense_.begin(), dense_.end(), DenseSlot{});
+    round_ = 1;
+  }
+}
+
+void WaveSchedule::Add(WaveEdge edge) {
+  PGRID_CHECK(edge.a != edge.b);
+  const uint32_t u = DenseId(edge.a);
+  const uint32_t v = DenseId(edge.b);
+  const uint32_t e = static_cast<uint32_t>(num_edges_++);
+  edge_u_.push_back(u);
+  edge_v_.push_back(v);
+  color_.push_back(kNone);
+  max_degree_ = std::max<size_t>({max_degree_, ++degree_[u], ++degree_[v]});
+  // Vizing palette of the edges seen so far; colors chosen for this edge are
+  // the same under any larger palette (see the header).
+  if (max_degree_ + 1 > palette_) GrowPalette(static_cast<uint32_t>(max_degree_) + 1);
+  ColorEdge(e);
+}
+
+void WaveSchedule::Finish() {
+  // Every color past the Vizing palette was introduced by the parallel-edge
+  // fallback (Misra-Gries only ever picks colors below max_degree + 1), and
+  // each such color stays in use once introduced.
+  fallback_colors_ = palette_ > max_degree_ + 1 ? palette_ - (max_degree_ + 1) : 0;
+  // Waves are the nonempty color classes, ascending by color; items inside a
+  // wave keep their input order. Both orders are part of the deterministic
+  // contract (slot assignment follows wave position).
+  const uint32_t n = static_cast<uint32_t>(num_edges_);
+  wave_of_.assign(palette_, kNone);
+  for (uint32_t e = 0; e < n; ++e) wave_of_[color_[e]] = 0;
+  for (uint32_t c = 0; c < palette_; ++c) {
+    if (wave_of_[c] == kNone) continue;
+    wave_of_[c] = static_cast<uint32_t>(num_waves_++);
+    if (waves_.size() < num_waves_) waves_.emplace_back();
+    waves_[num_waves_ - 1].clear();
+  }
+  for (uint32_t e = 0; e < n; ++e) {
+    waves_[wave_of_[color_[e]]].push_back(e);
   }
 }
 
 void WaveSchedule::Color(const std::vector<WaveEdge>& edges) {
-  waves_.clear();
-  num_edges_ = edges.size();
-  max_degree_ = 0;
-  fallback_colors_ = 0;
-  if (edges.empty()) return;
-
-  ++round_;
-  if (round_ == 0) {  // stamp wraparound: invalidate every cached dense id
-    std::fill(stamp_.begin(), stamp_.end(), 0);
-    round_ = 1;
-  }
-  num_vertices_ = 0;
-  const uint32_t n = static_cast<uint32_t>(edges.size());
-  edge_u_.resize(n);
-  edge_v_.resize(n);
-  color_.assign(n, kNone);
-  for (uint32_t e = 0; e < n; ++e) {
-    PGRID_CHECK(edges[e].a != edges[e].b);
-    edge_u_[e] = DenseId(edges[e].a);
-    edge_v_[e] = DenseId(edges[e].b);
-  }
-
-  degree_.assign(num_vertices_, 0);
-  for (uint32_t e = 0; e < n; ++e) {
-    ++degree_[edge_u_[e]];
-    ++degree_[edge_v_[e]];
-  }
-  max_degree_ = *std::max_element(degree_.begin(), degree_.end());
-
-  palette_ = static_cast<uint32_t>(max_degree_) + 1;
-  if (palette_ > palette_cap_) palette_cap_ = palette_;
-  at_.assign(static_cast<size_t>(num_vertices_) * palette_cap_, kNone);
-
-  for (uint32_t e = 0; e < n; ++e) ColorEdge(e);
-
-  // Waves are the nonempty color classes, ascending by color; items inside a
-  // wave keep their input order. Both orders are part of the deterministic
-  // contract (slot assignment follows wave position).
-  std::vector<uint32_t> wave_of(palette_, kNone);
-  for (uint32_t e = 0; e < n; ++e) wave_of[color_[e]] = 0;
-  for (uint32_t c = 0; c < palette_; ++c) {
-    if (wave_of[c] == kNone) continue;
-    wave_of[c] = static_cast<uint32_t>(waves_.size());
-    waves_.emplace_back();
-  }
-  for (uint32_t e = 0; e < n; ++e) {
-    waves_[wave_of[color_[e]]].push_back(e);
-  }
+  Begin();
+  for (const WaveEdge& edge : edges) Add(edge);
+  Finish();
 }
 
 }  // namespace pgrid

@@ -36,9 +36,27 @@
 // fallback_colors()). tests/wave_schedule_test.cc pins the simple-batch bound,
 // the multigraph behavior, validity, completeness, and determinism.
 //
-// Scratch state (per-peer stamps, palettes) is retained across Color() calls
-// so a builder can reschedule every round without reallocating; none of it
-// leaks into the result.
+// Cost. Every vertex keeps a bitmask of the colors present at it next to its
+// color -> edge table, so the two scans the algorithm repeats -- the smallest
+// free color at a vertex, and the next fan candidate (a color free at the fan
+// tail and present at u) -- are a count-trailing-zeros over one word per 64
+// colors instead of a walk over the palette. The masks only accelerate the
+// scans: candidates are still visited in ascending color order, so the
+// coloring is the same as a plain scan's (the test suite checks this wave for
+// wave against a scan reference, below and above 64 colors).
+//
+// Incremental use. Edge k is colored from edges 0..k alone: the smallest free
+// color at an endpoint is below its degree, so a palette sized to the degrees
+// seen so far admits exactly the choices the whole round's palette would. The
+// builder therefore feeds a round's items through Begin / Add / Finish as
+// they are produced, overlapping the coloring with the execution of the
+// previous round's waves; Color() is the one-shot form. Either way the waves
+// are a function of the edge list alone. (Later edges may recolor earlier
+// ones, so the waves exist only after Finish.)
+//
+// Scratch state (per-peer stamps, palettes) is retained across rounds so a
+// builder can reschedule every round without reallocating; none of it leaks
+// into the result.
 
 #pragma once
 
@@ -69,11 +87,21 @@ class WaveSchedule {
   /// Edge-colors `edges` and replaces the previous schedule. Deterministic: the
   /// waves are a pure function of the edge list (order included). Self-loops
   /// (a == b) are rejected by PGRID_CHECK; the exchange algorithm never
-  /// produces them.
+  /// produces them. Equivalent to Begin(), Add() per edge, Finish().
   void Color(const std::vector<WaveEdge>& edges);
 
+  /// Starts a new round; the previous schedule is discarded.
+  void Begin();
+
+  /// Appends one edge to the round and colors it against the edges added so
+  /// far (possibly recoloring some of them).
+  void Add(WaveEdge edge);
+
+  /// Ends the round: builds the waves from the final coloring.
+  void Finish();
+
   /// Number of waves (color classes with at least one edge).
-  size_t num_waves() const { return waves_.size(); }
+  size_t num_waves() const { return num_waves_; }
 
   /// Item indices of wave `w`, ascending (== input order within the wave).
   const std::vector<uint32_t>& wave(size_t w) const { return waves_[w]; }
@@ -95,7 +123,7 @@ class WaveSchedule {
   /// Dense vertex id of `peer`, assigning one on first sight this round.
   uint32_t DenseId(PeerId peer);
 
-  /// Smallest color in [0, palette_) with no edge at vertex `v`.
+  /// Smallest color in [0, palette_) with no edge at vertex `v`, or kNone.
   uint32_t FreeColor(uint32_t v) const;
 
   /// Colors edge `e`: Misra-Gries first, greedy fallback for parallel edges.
@@ -112,32 +140,53 @@ class WaveSchedule {
   /// (u, fan_[i+1]) for i < j, and edge (u, fan_[j]) takes `d`.
   void RotateAndColor(size_t j, uint32_t d);
 
-  /// Edge colored `c` at vertex `v`, or kNone.
+  /// Edge colored `c` at vertex `v`, or kNone. The bitmask is authoritative:
+  /// a table entry is only meaningful while its bit is set, so fresh rows need
+  /// no initialization beyond their mask words.
   uint32_t EdgeAt(uint32_t v, uint32_t c) const {
+    if ((UsedWord(v, c / 64) >> (c % 64) & 1) == 0) return kNone;
     return at_[static_cast<size_t>(v) * palette_cap_ + c];
   }
+  /// Sets the color-`c` edge of `v` (kNone clears it).
   void SetEdgeAt(uint32_t v, uint32_t c, uint32_t e) {
-    at_[static_cast<size_t>(v) * palette_cap_ + c] = e;
+    uint64_t& word = used_[static_cast<size_t>(v) * words_ + c / 64];
+    const uint64_t bit = uint64_t{1} << (c % 64);
+    if (e == kNone) {
+      word &= ~bit;
+    } else {
+      word |= bit;
+      at_[static_cast<size_t>(v) * palette_cap_ + c] = e;
+    }
+  }
+  /// Word `w` of the bitmask of colors present at `v`.
+  uint64_t UsedWord(uint32_t v, uint32_t w) const {
+    return used_[static_cast<size_t>(v) * words_ + w];
   }
 
   /// Recolors edge `e` (currently `from` or uncolored) to `to`, updating both
   /// endpoint tables.
   void Assign(uint32_t e, uint32_t to);
 
-  /// Grows the palette to `colors`, rebuilding the per-vertex tables.
+  /// Grows the palette to `colors`, re-striding the per-vertex tables when the
+  /// capacity is exceeded.
   void GrowPalette(uint32_t colors);
 
   // Round-scoped working state. Vertices are dense ids 0..num_vertices_-1.
-  std::vector<uint32_t> dense_;       // PeerId -> dense id (stamped)
-  std::vector<uint32_t> stamp_;       // PeerId -> round stamp
+  struct DenseSlot {
+    uint32_t stamp = 0;  // round in which `id` was assigned
+    uint32_t id = 0;
+  };
+  std::vector<DenseSlot> dense_;  // PeerId -> dense id of the stamped round
   uint32_t round_ = 0;
   uint32_t num_vertices_ = 0;
 
   std::vector<uint32_t> edge_u_, edge_v_;  // dense endpoints per edge
   std::vector<uint32_t> color_;            // edge -> color (kNone = uncolored)
   std::vector<uint32_t> at_;               // vertex x color -> edge (strided)
+  std::vector<uint64_t> used_;             // vertex x word -> colors present
   uint32_t palette_ = 0;                   // colors currently permitted
   uint32_t palette_cap_ = 0;               // stride of at_
+  uint32_t words_ = 0;                     // stride of used_: palette_cap_ in words
 
   // Fan/path scratch.
   std::vector<uint32_t> degree_;        // dense vertex -> degree this round
@@ -148,7 +197,11 @@ class WaveSchedule {
   std::vector<uint32_t> in_fan_stamp_;
   uint32_t fan_round_ = 0;
 
+  // waves_[0, num_waves_) is the schedule; later entries are spare storage
+  // kept, like wave_of_, so rescheduling does not reallocate.
   std::vector<std::vector<uint32_t>> waves_;
+  size_t num_waves_ = 0;
+  std::vector<uint32_t> wave_of_;  // color -> wave index (Finish scratch)
   size_t num_edges_ = 0;
   size_t max_degree_ = 0;
   size_t fallback_colors_ = 0;

@@ -30,12 +30,13 @@ Histogram::Histogram(std::vector<uint64_t> bounds)
   for (size_t i = 1; i < bounds_.size(); ++i) PGRID_CHECK_LT(bounds_[i - 1], bounds_[i]);
 }
 
-void Histogram::Record(uint64_t sample) {
+void Histogram::Record(uint64_t sample, uint64_t n) {
+  if (n == 0) return;
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), sample);
   const size_t bucket = static_cast<size_t>(it - bounds_.begin());  // == size: overflow
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(sample, std::memory_order_relaxed);
+  buckets_[bucket].fetch_add(n, std::memory_order_relaxed);
+  count_.fetch_add(n, std::memory_order_relaxed);
+  sum_.fetch_add(sample * n, std::memory_order_relaxed);
   AtomicMin(&min_, sample);
   AtomicMax(&max_, sample);
 }

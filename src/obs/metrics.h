@@ -57,7 +57,8 @@ class Histogram {
   /// `bounds` must be non-empty and strictly increasing.
   explicit Histogram(std::vector<uint64_t> bounds);
 
-  void Record(uint64_t sample);
+  /// Records `n` samples of value `sample` (n == 0 records nothing).
+  void Record(uint64_t sample, uint64_t n = 1);
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }

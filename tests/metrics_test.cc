@@ -110,6 +110,22 @@ TEST(HistogramTest, MergeFromAddsBucketsCountSumAndExtremes) {
   EXPECT_EQ(b.count(), 2u);
 }
 
+TEST(HistogramTest, RecordingNSamplesAtOnceEqualsNSingleRecords) {
+  // The batch form folds per-lane depth counts (ExchangeMetrics) at barriers.
+  Histogram batched({10, 100});
+  Histogram single({10, 100});
+  batched.Record(7, 3);
+  batched.Record(500, 2);
+  batched.Record(40, 0);  // no samples: no effect, not even on min/max
+  for (int i = 0; i < 3; ++i) single.Record(7);
+  for (int i = 0; i < 2; ++i) single.Record(500);
+  EXPECT_EQ(batched.count(), single.count());
+  EXPECT_EQ(batched.sum(), single.sum());
+  EXPECT_EQ(batched.min(), single.min());
+  EXPECT_EQ(batched.max(), single.max());
+  EXPECT_EQ(batched.bucket_counts(), single.bucket_counts());
+}
+
 TEST(HistogramTest, MergeFromEmptyLeavesExtremesAlone) {
   Histogram a({10});
   Histogram empty({10});

@@ -290,6 +290,129 @@ TEST(ParallelBuilderTest, RunMeetingsIsThreadCountInvariant) {
             t4.grid->stats().count(MessageType::kExchange));
 }
 
+/// Only the ledger check of the invariant checker: MessageStats rows against
+/// the registry counters of docs/observability.md.
+check::InvariantOptions LedgerOnly() {
+  check::InvariantOptions options;
+  options.check_structure = false;
+  options.check_coverage = false;
+  options.check_placement = false;
+  options.check_replica_agreement = false;
+  options.check_ledger = true;
+  return options;
+}
+
+/// The exchange engine's instruments that the ledger table does not cover,
+/// which the lane shards fold at the same barrier: every exchange records its
+/// recursion depth exactly once, and exchange.splits counts every path bit
+/// the build added (paths start empty).
+void ExpectExchangeMetricsExact(Grid* grid, const std::string& label) {
+  obs::MetricsRegistry& m = grid->metrics();
+  uint64_t path_bits = 0;
+  for (size_t i = 0; i < grid->size(); ++i) path_bits += grid->peer(i).depth();
+  EXPECT_EQ(m.GetCounter("exchange.count")->value(),
+            grid->stats().count(MessageType::kExchange))
+      << label;
+  EXPECT_EQ(m.GetHistogram("exchange.recursion_depth", obs::CountBounds())->count(),
+            grid->stats().count(MessageType::kExchange))
+      << label;
+  EXPECT_EQ(m.GetCounter("exchange.splits")->value(), path_bits) << label;
+}
+
+TEST(ParallelBuilderTest, ShardedExchangeMetricsMatchTheLedgerAtEveryThreadCount) {
+  // The exchange metrics are accumulated per lane and folded at the batch
+  // barrier next to the MessageStats shards; after a build they must equal
+  // their ledger rows exactly, whatever the thread count.
+  for (const size_t threads : {1u, 2u, 4u, 8u}) {
+    ParallelBuilt built = BuildParallel(400, threads, /*seed=*/21);
+    const std::string label = "threads=" + std::to_string(threads);
+    const check::InvariantReport report =
+        check::GridInvariants::Check(*built.grid, built.config, LedgerOnly());
+    EXPECT_EQ(report.CountOf(check::Category::kLedger), 0u)
+        << label << "\n" << report.ToString();
+    // Recursion happened, so several depth buckets were folded from the lanes.
+    EXPECT_GT(built.grid->metrics()
+                  .GetHistogram("exchange.recursion_depth", obs::CountBounds())
+                  ->sum(),
+              0u)
+        << label;
+    ExpectExchangeMetricsExact(built.grid.get(), label);
+  }
+}
+
+TEST(ParallelBuilderTest, ShardedExchangeMetricsMatchTheLedgerAtEveryBatchBarrier) {
+  // RunMeetings ends at a batch barrier; the ledger equalities must hold after
+  // every call, not only at the end of a build.
+  ExchangeConfig config;
+  config.maxl = 4;
+  config.refmax = 4;
+  config.recmax = 2;
+  config.recursion_fanout = 2;
+  config.manage_data = true;
+  Grid grid(200);
+  Rng master(19);
+  ExchangeEngine exchange(&grid, config, &master);
+  MeetingScheduler scheduler(200);
+  ParallelBuildOptions options;
+  options.threads = 4;
+  ParallelGridBuilder builder(&grid, &exchange, &scheduler, &master, options);
+  Rng pairs(5);
+  for (int step = 0; step < 15; ++step) {
+    std::vector<Meeting> meetings;
+    for (int i = 0; i < 60; ++i) {
+      meetings.push_back({static_cast<PeerId>(pairs.UniformIndex(200)),
+                          static_cast<PeerId>(pairs.UniformIndex(200))});
+    }
+    builder.RunMeetings(meetings);
+    const std::string label = "step " + std::to_string(step);
+    const check::InvariantReport report =
+        check::GridInvariants::Check(grid, config, LedgerOnly());
+    EXPECT_EQ(report.CountOf(check::Category::kLedger), 0u)
+        << label << "\n" << report.ToString();
+    ExpectExchangeMetricsExact(&grid, label);
+  }
+}
+
+TEST(ParallelBuilderTest, GoldenDigestsAcrossThreadsAndBatchSizes) {
+  // The built grid is a pure function of (seed, batch_size). These digests
+  // were recorded with the claim-free wave scheduler before its execution
+  // layer was reworked (spin-then-park pool with chunked claims, lane-sharded
+  // exchange metrics, bitmask coloring overlapped with the previous round);
+  // none of that may change a single bit of the result.
+  struct Golden {
+    bool manage_data;
+    size_t batch_size;
+    uint64_t digest;
+  };
+  const Golden goldens[] = {
+      {false, 64, 0x7e12333cf8483c7eULL},  {false, 256, 0x19dd7b039a9975e2ULL},
+      {false, 1024, 0x37806d2e5c9825a3ULL}, {true, 64, 0x088e3b74c3f6190bULL},
+      {true, 256, 0x404a4a919dceb865ULL},   {true, 1024, 0x6664eeff921bbd56ULL},
+  };
+  for (const Golden& g : goldens) {
+    for (const size_t threads : {1u, 2u, 4u, 8u}) {
+      ExchangeConfig config;
+      config.maxl = 6;
+      config.refmax = 4;
+      config.recmax = 2;
+      config.recursion_fanout = 2;
+      config.manage_data = g.manage_data;
+      Grid grid(1000);
+      Rng master(4242);
+      ExchangeEngine exchange(&grid, config, &master);
+      MeetingScheduler scheduler(1000);
+      ParallelBuildOptions options;
+      options.threads = threads;
+      options.batch_size = g.batch_size;
+      ParallelGridBuilder builder(&grid, &exchange, &scheduler, &master, options);
+      ASSERT_TRUE(builder.BuildToFractionOfMaxDepth(0.99, 4'000'000).converged);
+      EXPECT_EQ(sim::GridStateDigest(grid), g.digest)
+          << "manage_data=" << g.manage_data << " batch=" << g.batch_size
+          << " threads=" << threads;
+    }
+  }
+}
+
 TEST(ParallelBuilderTest, MatchesABarrierFreeShardedReplay) {
   // Independent cross-check without snapshots: two runs that share (seed,
   // batch_size) but differ in everything thread-related (1 vs 3) must agree on

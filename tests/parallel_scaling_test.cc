@@ -15,10 +15,24 @@
 //
 // The two builds share a seed, so the guard doubles as one more determinism
 // check at a scale the unit tests do not reach.
+//
+// Next to the ratio the test prints a host calibration: one fixed spin kernel
+// timed on one thread and as four concurrent copies on four threads. On a host
+// that really runs four lanes at once the two times match; when the four-copy
+// time is a multiple of the one-copy time, the host was not giving this
+// process four cores while the builds ran, and a failed bound says nothing
+// about the builder. The calibration is printed only; it changes no bound.
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "core/exchange.h"
 #include "core/grid.h"
@@ -79,6 +93,66 @@ ScalingRun Build4k(size_t threads) {
   return out;
 }
 
+/// A fixed amount of dependent integer arithmetic (~tens of ms); the empty asm
+/// keeps the loop in registers and from being folded away.
+void SpinKernel() {
+  uint64_t x = 1;
+  for (uint32_t i = 0; i < 40'000'000; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    asm volatile("" : "+r"(x));
+  }
+}
+
+/// Wall time of SpinKernel on one thread, and of `copies` concurrent copies on
+/// `copies` threads.
+struct HostCalibration {
+  double one_s = 0.0;
+  double all_s = 0.0;
+};
+
+/// Pins the calling thread to the `index`-th CPU it may run on (modulo their
+/// number). New threads start on their creator's CPU and a short kernel ends
+/// before the scheduler spreads them, so without this the calibration would
+/// time the scheduler's placement rather than the host's capacity.
+void PinToAllowedCpu(int index) {
+#ifdef __linux__
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+  std::vector<int> cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &allowed)) cpus.push_back(c);
+  }
+  if (cpus.empty()) return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpus[static_cast<size_t>(index) % cpus.size()], &one);
+  sched_setaffinity(0, sizeof(one), &one);
+#else
+  (void)index;
+#endif
+}
+
+HostCalibration CalibrateHost(int copies) {
+  using Clock = std::chrono::steady_clock;
+  HostCalibration out;
+  const Clock::time_point t0 = Clock::now();
+  SpinKernel();
+  const Clock::time_point t1 = Clock::now();
+  std::vector<std::thread> threads;
+  for (int i = 0; i < copies; ++i) {
+    threads.emplace_back([i] {
+      PinToAllowedCpu(i);
+      SpinKernel();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const Clock::time_point t2 = Clock::now();
+  out.one_s = std::chrono::duration<double>(t1 - t0).count();
+  out.all_s = std::chrono::duration<double>(t2 - t1).count();
+  return out;
+}
+
 TEST(ParallelScalingTest, FourThreadsDoNotLoseToOneAndConflictsStayNearZero) {
   const ScalingRun t1 = Build4k(1);
   const ScalingRun t4 = Build4k(4);
@@ -102,6 +176,10 @@ TEST(ParallelScalingTest, FourThreadsDoNotLoseToOneAndConflictsStayNearZero) {
   std::printf("cores=%u  t1=%.0f meet/s  t4=%.0f meet/s  ratio=%.2f  "
               "conflicts t4=%.4f%%\n",
               cores, r1, r4, r4 / r1, 100.0 * t4.conflict_rate);
+  const HostCalibration cal = CalibrateHost(4);
+  std::printf("calibration: spin kernel 1 thread=%.3fs  4 threads=%.3fs  "
+              "(4-thread/1-thread=%.2f; ~1 means 4 lanes ran at once)\n",
+              cal.one_s, cal.all_s, cal.all_s / cal.one_s);
 #if PGRID_UNDER_TSAN
   GTEST_SKIP() << "timing assertions skipped under ThreadSanitizer";
 #else
